@@ -16,6 +16,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
@@ -117,17 +118,25 @@ class BidVector:
     def provider_ids(self) -> List[str]:
         return [p.provider_id for p in self.providers]
 
+    @cached_property
+    def _user_index(self) -> Dict[str, UserBid]:
+        return {bid.user_id: bid for bid in self.users}
+
+    @cached_property
+    def _provider_index(self) -> Dict[str, ProviderAsk]:
+        return {ask.provider_id: ask for ask in self.providers}
+
     def user(self, user_id: str) -> UserBid:
-        for bid in self.users:
-            if bid.user_id == user_id:
-                return bid
-        raise KeyError(f"unknown user {user_id!r}")
+        bid = self._user_index.get(user_id)
+        if bid is None:
+            raise KeyError(f"unknown user {user_id!r}")
+        return bid
 
     def provider(self, provider_id: str) -> ProviderAsk:
-        for ask in self.providers:
-            if ask.provider_id == provider_id:
-                return ask
-        raise KeyError(f"unknown provider {provider_id!r}")
+        ask = self._provider_index.get(provider_id)
+        if ask is None:
+            raise KeyError(f"unknown provider {provider_id!r}")
+        return ask
 
     # -- aggregates -------------------------------------------------------------
     @property
@@ -168,6 +177,8 @@ class Allocation:
     Stored as a sorted tuple of ``(user_id, provider_id, amount)`` entries so the
     value is hashable, canonically encodable and structurally comparable across
     providers (which the input-validation and data-transfer blocks rely on).
+    Per-user and per-provider totals are indexed on first use, so callers that
+    ask for every user's total stay linear in the number of entries.
     """
 
     entries: Tuple[Tuple[str, str, float], ...] = ()
@@ -197,11 +208,28 @@ class Allocation:
                 return amount
         return 0.0
 
+    @cached_property
+    def _totals(self) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """``(per-user, per-provider)`` totals, built in one pass over ``entries``.
+
+        Amounts are collected in ``entries`` order and summed with ``sum()``,
+        so each total is bit-identical to a linear ``sum()`` over the entries.
+        """
+        by_user: Dict[str, List[float]] = {}
+        by_provider: Dict[str, List[float]] = {}
+        for user, provider, amount in self.entries:
+            by_user.setdefault(user, []).append(amount)
+            by_provider.setdefault(provider, []).append(amount)
+        return (
+            {user: sum(amounts) for user, amounts in by_user.items()},
+            {provider: sum(amounts) for provider, amounts in by_provider.items()},
+        )
+
     def user_total(self, user_id: str) -> float:
-        return sum(a for u, _, a in self.entries if u == user_id)
+        return self._totals[0].get(user_id, 0)
 
     def provider_total(self, provider_id: str) -> float:
-        return sum(a for _, p, a in self.entries if p == provider_id)
+        return self._totals[1].get(provider_id, 0)
 
     def winners(self) -> List[str]:
         """User ids with a strictly positive allocation."""
@@ -230,9 +258,9 @@ class Allocation:
         for user_id, provider_id, amount in self.entries:
             if amount < -EPSILON:
                 raise FeasibilityError(f"negative allocation for {user_id} at {provider_id}")
-            if user_id not in bids.user_ids:
+            if user_id not in bids._user_index:
                 raise FeasibilityError(f"allocation references unknown user {user_id!r}")
-            if provider_id not in bids.provider_ids:
+            if provider_id not in bids._provider_index:
                 raise FeasibilityError(
                     f"allocation references unknown provider {provider_id!r}"
                 )
@@ -242,6 +270,11 @@ class Allocation:
                 raise FeasibilityError(
                     f"provider {provider.provider_id} over capacity: {used} > {provider.capacity}"
                 )
+        providers_of: Dict[str, List[str]] = {}
+        if single_provider:
+            for u, p, a in self.entries:
+                if a > EPSILON:
+                    providers_of.setdefault(u, []).append(p)
         for user in bids.users:
             received = self.user_total(user.user_id)
             if received > user.demand + EPSILON:
@@ -250,7 +283,7 @@ class Allocation:
                     f"{received} > {user.demand}"
                 )
             if single_provider:
-                providers_of_user = [p for u, p, a in self.entries if u == user.user_id and a > EPSILON]
+                providers_of_user = providers_of.get(user.user_id, [])
                 if len(providers_of_user) > 1:
                     raise FeasibilityError(
                         f"user {user.user_id} split across providers {providers_of_user}"
@@ -286,17 +319,20 @@ class Payments:
     def zero() -> "Payments":
         return Payments((), ())
 
+    @cached_property
+    def _user_index(self) -> Dict[str, float]:
+        # Reversed so a repeated id keeps its first entry, like a linear scan.
+        return dict(reversed(self.user_payments))
+
+    @cached_property
+    def _provider_index(self) -> Dict[str, float]:
+        return dict(reversed(self.provider_revenues))
+
     def user_payment(self, user_id: str) -> float:
-        for uid, payment in self.user_payments:
-            if uid == user_id:
-                return payment
-        return 0.0
+        return self._user_index.get(user_id, 0.0)
 
     def provider_revenue(self, provider_id: str) -> float:
-        for pid, revenue in self.provider_revenues:
-            if pid == provider_id:
-                return revenue
-        return 0.0
+        return self._provider_index.get(provider_id, 0.0)
 
     @property
     def total_paid(self) -> float:

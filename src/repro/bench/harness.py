@@ -214,8 +214,9 @@ def run_obs_benchmark(
         every span and counter the round can emit, which is the honest
         upper bound a ``--trace``/``--metrics`` run pays before journal I/O.
 
-    Modes are interleaved off-A / observed / off-B so drift (thermal, cache,
-    scheduler) lands across modes rather than inside the comparison.
+    Modes are interleaved within every repeat (off-A, off-B, observed, then
+    off-B, off-A, observed) so drift (thermal, cache, scheduler, other
+    tenants) lands across modes rather than inside the comparison.
     """
     import statistics
     import time
@@ -240,21 +241,25 @@ def run_obs_benchmark(
         assert not result.aborted
         return elapsed
 
-    def sample_off() -> float:
-        return statistics.median(one_round() for _ in range(max(1, repeats)))
-
     one_round()  # warm-up: imports, numpy kernels, allocator pools
 
-    median_off_a = sample_off()
-    observed_times = []
+    off_a_times, observed_times, off_b_times = [], [], []
     spans = instruments = 0
-    for _ in range(max(1, repeats)):
+    for repeat in range(max(1, repeats)):
+        # A and B swap places every repeat, so neither is always the round
+        # that runs right after the observed one.
+        first, second = off_a_times, off_b_times
+        if repeat % 2:
+            first, second = second, first
+        first.append(one_round())
+        second.append(one_round())
         with observe() as observation:
             observed_times.append(one_round())
         spans = len(observation.tracer.spans)
         instruments = len(observation.metrics)
+    median_off_a = statistics.median(off_a_times)
     median_observed = statistics.median(observed_times)
-    median_off_b = sample_off()
+    median_off_b = statistics.median(off_b_times)
 
     baseline = min(median_off_a, median_off_b)
     overhead_disabled_pct = abs(median_off_b - median_off_a) / baseline * 100.0

@@ -12,6 +12,13 @@ broadcast/echo/decide structure as the single-instance block, but over a labelle
 dictionary of inputs.  Per-label decisions use the same majority rule, so the batched
 and per-instance modes agree on the output whenever both terminate (a property checked
 by the test suite).
+
+Batches travel as :class:`~repro.net.serialization.FrozenDict` values, so the echo
+views share them instead of copying them, and their wire size and canonical bytes
+are computed once.  When every batch in a view equals the batch of the smallest
+provider id and all of them hold hashable values, the per-label majority of every
+label is that provider's value, so the whole batch is decided at once; otherwise
+each label is voted on separately.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.common import ABORT
 from repro.consensus.rational_consensus import majority_decision
 from repro.net.protocol import BlockContext, ProtocolBlock
+from repro.net.serialization import FrozenDict
 
 __all__ = ["BatchedConsensusBlock"]
 
@@ -58,13 +66,13 @@ class BatchedConsensusBlock(ProtocolBlock):
         round_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(name)
-        self.my_inputs = dict(my_inputs)
+        self.my_inputs = FrozenDict(my_inputs)
         self.labels = sorted(my_inputs.keys()) if labels is None else sorted(labels)
         self.validator = validator
         self.round_timeout = round_timeout
         #: True when a round closed by timeout with a partial quorum.
         self.degraded = False
-        self._batches: Dict[str, Dict[str, Any]] = {}
+        self._batches: Dict[str, FrozenDict] = {}
         self._echoes: Dict[str, Dict[str, Dict[str, Any]]] = {}
         self._echo_sent = False
 
@@ -83,8 +91,8 @@ class BatchedConsensusBlock(ProtocolBlock):
         if not self._valid_batch(self.my_inputs):
             self.complete(ABORT)
             return
-        self._batches[ctx.node_id] = dict(self.my_inputs)
-        ctx.broadcast(dict(self.my_inputs), subtag=self.VALUE)
+        self._batches[ctx.node_id] = self.my_inputs
+        ctx.broadcast(self.my_inputs, subtag=self.VALUE)
         if self.round_timeout is not None:
             ctx.set_timer(self.round_timeout, self.TIMER_VALUE)
         self._maybe_echo(ctx)
@@ -105,7 +113,7 @@ class BatchedConsensusBlock(ProtocolBlock):
         if not self._valid_batch(payload):
             self.complete(ABORT)
             return
-        self._batches[sender] = dict(payload)
+        self._batches[sender] = _frozen(payload)
         self._maybe_echo(ctx)
 
     def _maybe_echo(self, ctx: BlockContext, force: bool = False) -> None:
@@ -114,7 +122,7 @@ class BatchedConsensusBlock(ProtocolBlock):
         if not force and set(self._batches) != set(ctx.participants):
             return
         self._echo_sent = True
-        snapshot = {provider: dict(batch) for provider, batch in self._batches.items()}
+        snapshot = FrozenDict(self._batches)
         ctx.broadcast(snapshot, subtag=self.ECHO)
         self._echoes[ctx.node_id] = snapshot
         if self.round_timeout is not None:
@@ -165,17 +173,11 @@ class BatchedConsensusBlock(ProtocolBlock):
                 # equivocated, so the correct output is ⊥.
                 self.complete(ABORT)
                 return
-        decisions: Dict[str, Any] = {}
-        for label in self.labels:
-            per_provider = {
-                provider: batch[label] for provider, batch in reference.items()
-            }
-            decisions[label] = majority_decision(per_provider)
-        self.complete(decisions)
+        self._decide(reference)
 
     def _decide_merged(self, ctx: BlockContext) -> None:
         """Decide from the union of the received echo views (timeout mode only)."""
-        merged: Dict[str, Dict[str, Any]] = {}
+        merged: Dict[str, FrozenDict] = {}
         for echo in self._echoes.values():
             for provider, batch in echo.items():
                 if not isinstance(batch, dict) or sorted(batch.keys()) != self.labels:
@@ -183,7 +185,7 @@ class BatchedConsensusBlock(ProtocolBlock):
                     return
                 known = merged.get(provider)
                 if known is None:
-                    merged[provider] = dict(batch)
+                    merged[provider] = _frozen(batch)
                 elif known != batch:
                     # Two views disagree about the same provider's first-round
                     # batch: someone equivocated, the correct output is ⊥.
@@ -194,8 +196,30 @@ class BatchedConsensusBlock(ProtocolBlock):
             return
         if set(merged) != set(ctx.participants):
             self.degraded = True  # deciding without some provider's batch
+        self._decide(merged)
+
+    def _decide(self, view: Dict[str, FrozenDict]) -> None:
+        """Complete with the per-label majority over ``view`` (provider -> batch).
+
+        ``majority_decision`` counts hashable values by ``==`` and returns the
+        value of the smallest provider id among the most frequent.  If every
+        batch equals the smallest provider's batch and every value hashes, each
+        label has a single group of equal values, so that provider's batch *is*
+        the decision.  Unhashable values are counted by ``repr`` instead, where
+        equal values can still fall into different groups, so they — like
+        differing batches — take the per-label vote.
+        """
+        first = view[min(view)]
+        if all(batch == first and batch.values_hashable for batch in view.values()):
+            self.complete({label: first[label] for label in self.labels})
+            return
         decisions: Dict[str, Any] = {}
         for label in self.labels:
-            per_provider = {provider: batch[label] for provider, batch in merged.items()}
+            per_provider = {provider: batch[label] for provider, batch in view.items()}
             decisions[label] = majority_decision(per_provider)
         self.complete(decisions)
+
+
+def _frozen(batch: Dict[str, Any]) -> FrozenDict:
+    """Share a batch that is already frozen; freeze a copy of any other."""
+    return batch if isinstance(batch, FrozenDict) else FrozenDict(batch)

@@ -17,18 +17,20 @@ prevents accidentally shipping live objects between nodes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 from typing import Any, Dict, Tuple
 
-__all__ = ["canonical_encode", "estimate_size", "UnsupportedPayloadError"]
+__all__ = ["canonical_encode", "estimate_size", "FrozenDict", "UnsupportedPayloadError"]
 
 #: Per-type cache of (field names, frozen?) — ``dataclasses.fields`` is expensive
 #: and payload types are few, while payload *instances* number in the hundreds of
 #: thousands per simulated round.
 _DATACLASS_INFO: Dict[type, Tuple[Tuple[str, ...], bool]] = {}
 
-#: Attribute under which an instance's computed wire size is memoised.
+#: Attributes under which an instance's wire size and canonical bytes are memoised.
 _SIZE_ATTR = "_repro_wire_size"
+_BYTES_ATTR = "_repro_canonical"
 
 
 def _dataclass_info(cls: type) -> Tuple[Tuple[str, ...], bool]:
@@ -43,6 +45,36 @@ def _dataclass_info(cls: type) -> Tuple[Tuple[str, ...], bool]:
 
 class UnsupportedPayloadError(TypeError):
     """Raised when a payload contains a type that cannot be canonically encoded."""
+
+
+def _immutable(self, *args, **kwargs):
+    raise TypeError(f"{type(self).__name__} is immutable")
+
+
+class FrozenDict(dict):
+    """A ``dict`` whose mutators raise.
+
+    It compares, iterates, encodes and sizes exactly like the plain ``dict``
+    it was built from (and stays unhashable, like one), but because it cannot
+    change, its wire size and canonical bytes are memoised once its keys and
+    values are deep-immutable too.  Protocol blocks use it for payloads they
+    broadcast and then share between echo views.
+    """
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
+
+    def __reduce__(self):
+        return (type(self), (dict(self),))
+
+    @functools.cached_property
+    def values_hashable(self) -> bool:
+        """True if every value hashes (so equal values count as one vote)."""
+        try:
+            hash(tuple(self.values()))
+        except TypeError:
+            return False
+        return True
 
 
 def _encode_float(value: float) -> bytes:
@@ -82,40 +114,82 @@ def canonical_encode(value: Any) -> bytes:
     sortable keys), sets (sorted), and dataclasses (encoded as a tagged dict of
     their fields).
 
+    The bytes of deep-immutable frozen dataclass instances and
+    :class:`FrozenDict` values are memoised on the instance, under the same
+    rule as :func:`estimate_size`'s size memo: every provider digests the same
+    bid objects, so only the first digest of a round walks them.
+
     Raises:
         UnsupportedPayloadError: if the value (or a nested element) has an
             unsupported type.
     """
+    return _encode(value)[0]
+
+
+def _encode(value: Any) -> Tuple[bytes, bool]:
+    """Return ``(bytes, deep_immutable)`` — the latter gates instance memoisation."""
+    cached = getattr(value, _BYTES_ATTR, None)
+    if cached is not None:
+        return cached, True
     if value is None:
-        return b"n"
+        return b"n", True
     if isinstance(value, (bool, int, float)):
-        return _encode_number(value)
+        return _encode_number(value), True
     if isinstance(value, str):
         data = value.encode("utf-8")
-        return b"s" + len(data).to_bytes(4, "big") + data
+        return b"s" + len(data).to_bytes(4, "big") + data, True
     if isinstance(value, (bytes, bytearray)):
         data = bytes(value)
-        return b"y" + len(data).to_bytes(4, "big") + data
-    if isinstance(value, (list, tuple)):
-        parts = [canonical_encode(item) for item in value]
-        body = b"".join(parts)
-        return b"l" + len(parts).to_bytes(4, "big") + body
-    if isinstance(value, (set, frozenset)):
-        encoded = sorted(canonical_encode(item) for item in value)
-        body = b"".join(encoded)
-        return b"e" + len(encoded).to_bytes(4, "big") + body
+        return b"y" + len(data).to_bytes(4, "big") + data, isinstance(value, bytes)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        immutable = isinstance(value, (tuple, frozenset))
+        parts = []
+        for item in value:
+            item_bytes, item_immutable = _encode(item)
+            parts.append(item_bytes)
+            immutable = immutable and item_immutable
+        tag = b"l"
+        if isinstance(value, (set, frozenset)):
+            parts.sort()  # sets encode in sorted order
+            tag = b"e"
+        return tag + len(parts).to_bytes(4, "big") + b"".join(parts), immutable
     if isinstance(value, dict):
-        items = [(canonical_encode(k), canonical_encode(v)) for k, v in value.items()]
-        items.sort(key=lambda kv: kv[0])
-        body = b"".join(k + v for k, v in items)
-        return b"d" + len(items).to_bytes(4, "big") + body
+        data, immutable = _encode_items(value.items())
+        immutable = immutable and isinstance(value, FrozenDict)
+        if immutable:
+            _memoise(value, _BYTES_ATTR, data)
+        return data, immutable
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-        return b"c" + canonical_encode(name) + canonical_encode(fields)
+        names, frozen = _dataclass_info(type(value))
+        body, immutable = _encode_items((name, getattr(value, name)) for name in names)
+        data = b"c" + _encode(type(value).__name__)[0] + body
+        if frozen and immutable:
+            _memoise(value, _BYTES_ATTR, data)
+        return data, frozen and immutable
     raise UnsupportedPayloadError(
         f"cannot canonically encode value of type {type(value).__name__!r}"
     )
+
+
+def _encode_items(items) -> Tuple[bytes, bool]:
+    """Encode ``(key, value)`` pairs as a dict, sorted by encoded key."""
+    encoded = []
+    immutable = True
+    for key, value in items:
+        key_bytes, key_immutable = _encode(key)
+        value_bytes, value_immutable = _encode(value)
+        encoded.append((key_bytes, value_bytes))
+        immutable = immutable and key_immutable and value_immutable
+    encoded.sort(key=lambda kv: kv[0])
+    body = b"".join(k + v for k, v in encoded)
+    return b"d" + len(encoded).to_bytes(4, "big") + body, immutable
+
+
+def _memoise(value: Any, attr: str, result: Any) -> None:
+    try:
+        object.__setattr__(value, attr, result)
+    except (AttributeError, TypeError):
+        pass  # __slots__ without room for the memo
 
 
 def estimate_size(value: Any) -> int:
@@ -131,7 +205,9 @@ def estimate_size(value: Any) -> int:
     per message dominated the simulator's wall time.  ``frozen=True`` alone is
     only shallow, so the recursion tracks whether every nested value is itself
     immutable and skips the memo otherwise (a frozen dataclass holding a dict
-    that later grows must keep being re-measured).
+    that later grows must keep being re-measured).  A :class:`FrozenDict` is the
+    one mapping that counts as immutable, so consensus batches and echo views
+    are measured once, not once per message.
     """
     return _estimate(value)[0]
 
@@ -166,10 +242,16 @@ def _estimate(value: Any) -> Tuple[int, bool]:
     if isinstance(value, (list, set)):
         return 4 + sum(_estimate(item)[0] for item in value), False
     if isinstance(value, dict):
-        return (
-            4 + sum(_estimate(k)[0] + _estimate(v)[0] for k, v in value.items()),
-            False,
-        )
+        size = 4
+        immutable = isinstance(value, FrozenDict)
+        for key, item in value.items():
+            key_size, key_immutable = _estimate(key)
+            item_size, item_immutable = _estimate(item)
+            size += key_size + item_size
+            immutable = immutable and key_immutable and item_immutable
+        if immutable:
+            _memoise(value, _SIZE_ATTR, size)
+        return size, immutable
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         names, frozen = _dataclass_info(type(value))
         size = 4
@@ -179,9 +261,6 @@ def _estimate(value: Any) -> Tuple[int, bool]:
             size += field_size
             immutable = immutable and field_immutable
         if immutable:
-            try:
-                object.__setattr__(value, _SIZE_ATTR, size)
-            except (AttributeError, TypeError):
-                pass  # __slots__ without room for the memo
+            _memoise(value, _SIZE_ATTR, size)
         return size, immutable
     return len(repr(value)), False
